@@ -231,73 +231,43 @@ impl aim2_exec::TableProvider for StoreProvider {
                 .collect(),
             StoreBacking::Flat(fs) => fs.tids().iter().map(|t| t.to_u64()).collect(),
         };
-        Ok(aim2_exec::ObjectCursor::keyed(req, "full scan", keys))
-    }
-
-    fn next_row(&mut self, cur: &mut aim2_exec::ObjectCursor) -> aim2_exec::Result<Option<Tuple>> {
-        let Some(key) = cur.next_key() else {
-            return Ok(None);
-        };
-        let tid = aim2_storage::tid::Tid::from_u64(key);
-        let (_, schema, backing) = self
-            .tables
-            .iter_mut()
-            .find(|(n, _, _)| *n == cur.table)
-            .ok_or_else(|| aim2_exec::ExecError::NoSuchTable(cur.table.clone()))?;
-        match backing {
-            StoreBacking::Nf2(os) => {
-                let h = aim2_storage::object::ObjectHandle(tid);
-                let t = if cur.projection.is_some() {
-                    os.read_object_projected(schema, h, &|p| cur.keep(p))
-                } else {
-                    os.read_object(schema, h)
-                }
-                .map_err(aim2_exec::ExecError::Storage)?;
-                Ok(Some(t))
-            }
-            StoreBacking::Flat(fs) => fs
-                .read(tid)
-                .map(Some)
-                .map_err(aim2_exec::ExecError::Storage),
-        }
+        Ok(aim2_exec::ObjectCursor::new(
+            req,
+            "full scan",
+            aim2_exec::ScanSource::Keys(keys),
+        ))
     }
 
     fn next_batch(
         &mut self,
         cur: &mut aim2_exec::ObjectCursor,
         max_rows: usize,
-    ) -> aim2_exec::Result<Option<aim2_exec::ColumnBatch>> {
-        // Flat heaps batch a run of TIDs against one table lookup —
-        // the bench-side analogue of the engine's columnar pull. NF²
-        // stores keep the row path (projection pushdown happens per
-        // object there).
-        let (_, _, backing) = self
-            .tables
-            .iter_mut()
-            .find(|(n, _, _)| *n == cur.table)
-            .ok_or_else(|| aim2_exec::ExecError::NoSuchTable(cur.table.clone()))?;
-        let StoreBacking::Flat(fs) = backing else {
-            return aim2_exec::row_batch(self, cur, max_rows);
-        };
-        let keys = cur.take_keys(max_rows.max(1), |_| true);
-        if keys.is_empty() {
-            return Ok(None);
-        }
-        let mut rows = Vec::with_capacity(keys.len());
-        for key in keys {
-            rows.push(
-                fs.read(aim2_storage::tid::Tid::from_u64(key))
-                    .map_err(aim2_exec::ExecError::Storage)?,
-            );
-        }
-        Ok(Some(aim2_exec::ColumnBatch::from_rows(rows)))
+    ) -> aim2_exec::Result<Option<Vec<Tuple>>> {
+        cur.pull(max_rows, |req, keys| {
+            let (_, schema, backing) = self.entry(&req.table)?;
+            let keep = |p: &aim2_model::Path| req.projection.as_ref().is_none_or(|r| r.keep(p));
+            keys.iter()
+                .map(|&key| {
+                    let tid = aim2_storage::tid::Tid::from_u64(key);
+                    match backing {
+                        StoreBacking::Nf2(os) => os.read_object_projected(
+                            schema,
+                            aim2_storage::object::ObjectHandle(tid),
+                            &keep,
+                        ),
+                        StoreBacking::Flat(fs) => fs.read(tid),
+                    }
+                    .map_err(aim2_exec::ExecError::Storage)
+                })
+                .collect()
+        })
     }
 
     fn close_scan(&mut self, cur: aim2_exec::ObjectCursor) {
         // Same rule as the engine: a cursor abandoned after at least one
         // pull but before exhaustion is an early exit (EXISTS found its
         // witness, FORALL its counterexample).
-        if let Ok((_, _, backing)) = self.entry(&cur.table) {
+        if let Ok((_, _, backing)) = self.entry(&cur.req.table) {
             let stats = match backing {
                 StoreBacking::Nf2(os) => os.stats(),
                 StoreBacking::Flat(fs) => fs.segment_mut().stats().clone(),

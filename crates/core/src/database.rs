@@ -4,7 +4,10 @@ use crate::catalog::{Catalog, IndexEntry, TableEntry, TableStorage, TextIndexEnt
 use crate::error::DbError;
 use crate::slowlog::{SlowLog, SlowQueryRecord};
 use crate::Result;
-use aim2_exec::provider::{row_batch, ColumnBatch, ObjectCursor, ScanRequest, TableProvider};
+use aim2_exec::analysis::Referenced;
+use aim2_exec::provider::{
+    ObjectCursor, RangePred, ScanRequest, ScanSource, SharedRows, TableProvider,
+};
 use aim2_exec::{AnalyzedPlan, Evaluator};
 use aim2_index::address::Scheme;
 use aim2_index::NfIndex;
@@ -16,7 +19,7 @@ use aim2_model::{
 use aim2_obs::MetricsSnapshot;
 use aim2_storage::buffer::BufferPool;
 use aim2_storage::colstore::{
-    cold_key, split_cold_key, zone_may_contain, zone_may_intersect, DecodedBlock, BLOCK_ROWS,
+    cold_key, split_cold_key, zone_may_contain, zone_may_intersect, BLOCK_ROWS,
 };
 use aim2_storage::disk::{Disk, FileDisk, MemDisk};
 use aim2_storage::faultdisk::{FaultDisk, FaultInjector};
@@ -131,6 +134,19 @@ pub struct Database {
     slow_log: SlowLog,
     /// Statement text currently executing (slow-log attribution).
     current_sql: String,
+}
+
+/// What [`Database::walk_keys`] found: the live rows' scan keys plus
+/// the tier counts an access-path description reports.
+#[derive(Default)]
+struct TableWalk {
+    keys: Vec<u64>,
+    /// Cold blocks the table holds, pruned or not.
+    cold_blocks: usize,
+    /// Cold blocks zone maps ruled out.
+    pruned: usize,
+    /// Hot rows / objects among `keys`.
+    hot: usize,
 }
 
 /// One qualified DML target combination.
@@ -420,46 +436,9 @@ impl Database {
                 )))
             }
         }
-        let mut index = TextIndex::new();
-        // Index existing rows.
-        match &mut entry.storage {
-            TableStorage::Nf2(os) => {
-                for h in os.handles()? {
-                    let atoms = os.read_first_level_atoms(h)?;
-                    if let Some(text) = text_of(&schema, attr, &atoms) {
-                        index.add_document(doc_id(h.0), &text);
-                    }
-                }
-            }
-            TableStorage::Flat(fs) => {
-                // Cold rows register under their packed cold key, hot
-                // rows under their TID doc id.
-                for ord in 0..fs.cold_blocks().len() {
-                    for row in 0..fs.cold_blocks()[ord].rows {
-                        let t = fs.materialize_cold_row(ord, row)?;
-                        let atoms: Vec<Atom> = t
-                            .fields
-                            .iter()
-                            .filter_map(|v| v.as_atom().cloned())
-                            .collect();
-                        if let Some(text) = text_of(&schema, attr, &atoms) {
-                            index.add_document(cold_key(ord, row), &text);
-                        }
-                    }
-                }
-                for tid in fs.tids().to_vec() {
-                    let t = fs.read(tid)?;
-                    let atoms: Vec<Atom> = t
-                        .fields
-                        .iter()
-                        .filter_map(|v| v.as_atom().cloned())
-                        .collect();
-                    if let Some(text) = text_of(&schema, attr, &atoms) {
-                        index.add_document(doc_id(tid), &text);
-                    }
-                }
-            }
-        }
+        let (keys, rows) = self.live_rows(table, Some(Referenced::default()))?;
+        let index = build_text_index(&schema, attr, &keys, &rows);
+        let entry = self.catalog.require_mut(table)?;
         entry.text_indexes.push(TextIndexEntry {
             name: name.to_string(),
             attr: attr.clone(),
@@ -487,42 +466,18 @@ impl Database {
             .ok_or_else(|| DbError::Catalog(format!("no text index on {table}({attr})")))?;
         let pattern = aim2_text::Pattern::parse(mask);
         let (hits, verified) = tix.index.search(&pattern);
-        let mut out = Vec::with_capacity(hits.len());
-        match &mut entry.storage {
-            TableStorage::Nf2(os) => {
-                for h in os.handles()? {
-                    if hits.contains(&doc_id(h.0)) {
-                        out.push(os.read_first_level_atoms(h)?);
-                    }
-                }
-            }
-            TableStorage::Flat(fs) => {
-                for ord in 0..fs.cold_blocks().len() {
-                    for row in 0..fs.cold_blocks()[ord].rows {
-                        if hits.contains(&cold_key(ord, row)) {
-                            let t = fs.materialize_cold_row(ord, row)?;
-                            out.push(
-                                t.fields
-                                    .iter()
-                                    .filter_map(|v| v.as_atom().cloned())
-                                    .collect(),
-                            );
-                        }
-                    }
-                }
-                for tid in fs.tids().to_vec() {
-                    if hits.contains(&doc_id(tid)) {
-                        let t = fs.read(tid)?;
-                        out.push(
-                            t.fields
-                                .iter()
-                                .filter_map(|v| v.as_atom().cloned())
-                                .collect(),
-                        );
-                    }
-                }
-            }
-        }
+        let schema = entry.schema.clone();
+        let mut keys = self.walk_keys(table, None, &[], &[])?.keys;
+        keys.retain(|k| hits.contains(k));
+        let req = ScanRequest {
+            projection: Some(Referenced::default()),
+            ..ScanRequest::full(table, None)
+        };
+        let out = self
+            .read_keys(&req, &keys)?
+            .iter()
+            .map(|t| t.atomic_fields(&schema).into_iter().cloned().collect())
+            .collect();
         Ok((out, verified))
     }
 
@@ -691,14 +646,7 @@ impl Database {
                     }
                     (None, Some(tid)) if !seen.contains(&tid) => {
                         seen.push(tid);
-                        let today = self.today;
-                        let entry = self.catalog.require_mut(&root_table)?;
-                        if let TableStorage::Flat(fs) = &mut entry.storage {
-                            fs.delete(tid)?;
-                        }
-                        if let Some(v) = &mut entry.versions {
-                            v.record_delete(ObjectHandle(tid), today);
-                        }
+                        self.delete_flat_row(&root_table, tid)?;
                         count += 1;
                     }
                     _ => {}
@@ -748,12 +696,26 @@ impl Database {
         let schema = entry.schema.clone();
         Self::unindex_all(entry, &schema, handle)?;
         for tix in &mut entry.text_indexes {
-            tix.index.remove_document(doc_id(handle.0));
+            tix.index.remove_document(handle.0.to_u64());
         }
         let os = entry.nf2_mut()?;
         os.delete_object(handle)?;
         if let Some(v) = &mut entry.versions {
             v.record_delete(handle, self.today);
+        }
+        Ok(())
+    }
+
+    /// Delete one heap row of a flat table, recording the delete on a
+    /// versioned one.
+    fn delete_flat_row(&mut self, table: &str, tid: Tid) -> Result<()> {
+        let today = self.today;
+        let entry = self.catalog.require_mut(table)?;
+        if let TableStorage::Flat(fs) = &mut entry.storage {
+            fs.delete(tid)?;
+        }
+        if let Some(v) = &mut entry.versions {
+            v.record_delete(ObjectHandle(tid), today);
         }
         Ok(())
     }
@@ -822,16 +784,14 @@ impl Database {
             return;
         }
         let id = match key {
-            ObjectHandleOrTid::Handle(h) => doc_id(h.0),
-            ObjectHandleOrTid::Tid(t) => doc_id(t),
+            ObjectHandleOrTid::Handle(h) => h.0.to_u64(),
+            ObjectHandleOrTid::Tid(t) => t.to_u64(),
         };
         for tix in &mut entry.text_indexes {
             match state {
                 Some(tuple) => {
-                    let atoms: Vec<Atom> =
-                        tuple.atomic_fields(schema).into_iter().cloned().collect();
-                    if let Some(text) = text_of(schema, &tix.attr, &atoms) {
-                        tix.index.add_document(id, &text);
+                    if let Some(text) = text_of(schema, &tix.attr, tuple) {
+                        tix.index.add_document(id, text);
                     }
                 }
                 None => tix.index.remove_document(id),
@@ -869,33 +829,20 @@ impl Database {
                 )));
             }
         }
-        let quarantined = self.quarantined_in(table);
+        // Root rows with their identities (quarantined objects are not
+        // DML-addressable). Callers melted the cold tier first, so
+        // every key of a flat table is a heap TID.
+        let (keys, rows) = self.live_rows(table, None)?;
         let entry = self.catalog.require_mut(table)?;
         let schema = entry.schema.clone();
-        // Materialize root rows with their identities (quarantined
-        // objects are not DML-addressable).
-        let mut roots: Vec<(Option<ObjectHandle>, Option<Tid>, Tuple)> = Vec::new();
-        match &mut entry.storage {
-            TableStorage::Nf2(os) => {
-                for h in os.handles()? {
-                    if quarantined.contains(&h.0) {
-                        continue;
-                    }
-                    roots.push((Some(h), None, os.read_object(&schema, h)?));
-                }
-            }
-            TableStorage::Flat(fs) => {
-                for tid in fs.tids().to_vec() {
-                    roots.push((None, Some(tid), fs.read(tid)?));
-                }
-            }
-        }
+        let nf2 = matches!(entry.storage, TableStorage::Nf2(_));
         // Expand the binding chain into combinations with element locs.
         let mut combos: Vec<DmlMatch> = Vec::new();
-        for (handle, flat_tid, tuple) in roots {
+        for (key, tuple) in keys.into_iter().zip(rows) {
+            let tid = Tid::from_u64(key);
             let seed = DmlMatch {
-                handle,
-                flat_tid,
+                handle: nf2.then_some(ObjectHandle(tid)),
+                flat_tid: (!nf2).then_some(tid),
                 frames: vec![(root.var.clone(), schema.clone(), tuple)],
                 locs: vec![(root.var.clone(), ElemLoc::object())],
             };
@@ -1043,17 +990,32 @@ fn root_table_name(from: &[Binding]) -> Result<String> {
     }
 }
 
-fn text_of(schema: &TableSchema, attr: &Path, first_level_atoms: &[Atom]) -> Option<String> {
-    let idx = schema.attr_index(&attr.segments()[0])?;
-    let pos = schema.atomic_indices().iter().position(|&i| i == idx)?;
-    first_level_atoms
-        .get(pos)
-        .and_then(|a| a.as_str())
-        .map(str::to_string)
+/// Column index of a first-level (single-segment) attribute path.
+fn column_of(schema: &TableSchema, path: &Path) -> Option<usize> {
+    match path.segments() {
+        [one] => schema.attr_index(one),
+        _ => None,
+    }
 }
 
-fn doc_id(tid: Tid) -> u64 {
-    ((tid.page.0 as u64) << 16) | tid.slot.0 as u64
+/// The text of first-level attribute `attr` in `row`.
+fn text_of<'r>(schema: &TableSchema, attr: &Path, row: &'r Tuple) -> Option<&'r str> {
+    row.fields
+        .get(column_of(schema, attr)?)?
+        .as_atom()?
+        .as_str()
+}
+
+/// A text index over `attr` of `rows`. A row's document id is its scan
+/// key, so index hits name keys the keyed read understands.
+fn build_text_index(schema: &TableSchema, attr: &Path, keys: &[u64], rows: &[Tuple]) -> TextIndex {
+    let mut index = TextIndex::new();
+    for (key, row) in keys.iter().zip(rows) {
+        if let Some(text) = text_of(schema, attr, row) {
+            index.add_document(*key, text);
+        }
+    }
+    index
 }
 
 fn sanitize(s: &str) -> String {
@@ -1324,7 +1286,7 @@ impl Database {
             };
             let mut handles: Vec<ObjectHandle> = Vec::new();
             for h in os.handles()? {
-                if hits.contains(&doc_id(h.0)) {
+                if hits.contains(&h.0.to_u64()) {
                     handles.push(h);
                 }
             }
@@ -1355,161 +1317,52 @@ impl TableProvider for Database {
         let name = req.table.as_str();
         let entry = self
             .catalog
-            .get_mut(name)
+            .get(name)
             .ok_or_else(|| aim2_exec::ExecError::NoSuchTable(name.to_string()))?;
         if let Some(t) = req.asof {
-            // Version snapshots are reconstructed tables — the cursor
-            // buffers them (no page-level pull to push into).
+            // Version snapshots are reconstructed tables: the cursor
+            // holds them (no page-level pull to push into).
             let versions = entry.versions.as_ref().ok_or_else(|| {
                 aim2_exec::ExecError::Semantic(format!(
                     "table {name} was not declared WITH VERSIONS"
                 ))
             })?;
-            let rows = versions.table_asof(t).tuples;
-            return Ok(ObjectCursor::buffered(
+            let rows: SharedRows = Arc::new(
+                (0u64..)
+                    .zip(versions.table_asof(t).tuples)
+                    .map(|(i, t)| (i, Arc::new(t)))
+                    .collect(),
+            );
+            return Ok(ObjectCursor::new(
                 req,
                 "full scan (version snapshot)",
-                rows,
+                ScanSource::Rows(rows),
             ));
         }
-        let quarantined = self.quarantined_in(name);
-        let schema = self
-            .catalog
-            .get(name)
-            .expect("checked above")
-            .schema
-            .clone();
-        match &mut self.catalog.get_mut(name).expect("checked above").storage {
-            TableStorage::Flat(fs) => {
-                if fs.cold_blocks().is_empty() {
-                    let keys = fs
-                        .tids()
-                        .iter()
-                        .filter(|t| !quarantined.contains(t))
-                        .map(|t| t.to_u64())
-                        .collect();
-                    return Ok(ObjectCursor::keyed(req, "full scan", keys));
-                }
-                // Tiered table: cold rows come first (they are the
-                // oldest), then the hot heap, so every execution mode
-                // sees insertion order. Pushed single-attribute
-                // conjuncts check each block's zone maps *before* any
-                // decode: a block whose min/max cannot satisfy them is
-                // skipped wholesale.
-                let eqs: Vec<(usize, &Atom)> = req
-                    .conjuncts
-                    .iter()
-                    .filter_map(|(p, a)| match p.segments() {
-                        [one] => schema.attr_index(one).map(|i| (i, a)),
-                        _ => None,
-                    })
-                    .collect();
-                let ranges: Vec<(usize, _)> = req
-                    .ranges
-                    .iter()
-                    .filter_map(|(p, r)| match p.segments() {
-                        [one] => schema.attr_index(one).map(|i| (i, r)),
-                        _ => None,
-                    })
-                    .collect();
-                let total = fs.cold_blocks().len();
-                let mut pruned = 0usize;
-                let mut keys: Vec<u64> = Vec::new();
-                for (ord, meta) in fs.cold_blocks().iter().enumerate() {
-                    if quarantined.contains(&meta.tid) {
-                        continue;
-                    }
-                    let keep = eqs
-                        .iter()
-                        .all(|(i, a)| meta.zones.get(*i).is_none_or(|z| zone_may_contain(z, a)))
-                        && ranges.iter().all(|(i, r)| {
-                            meta.zones
-                                .get(*i)
-                                .is_none_or(|z| zone_may_intersect(z, r.lo.as_ref(), r.hi.as_ref()))
-                        });
-                    if !keep {
-                        pruned += 1;
-                        self.stats.inc_colstore_block_pruned();
-                        continue;
-                    }
-                    keys.extend((0..meta.rows).map(|row| cold_key(ord, row)));
-                }
-                let hot: Vec<u64> = fs
-                    .tids()
-                    .iter()
-                    .filter(|t| !quarantined.contains(t))
-                    .map(|t| t.to_u64())
-                    .collect();
-                let path = format!(
-                    "columnar scan: {total} cold blocks ({pruned} pruned by zone maps) + {} hot rows",
-                    hot.len()
-                );
-                keys.extend(hot);
-                Ok(ObjectCursor::keyed(req, &path, keys))
-            }
-            TableStorage::Nf2(_) => {
-                // Conjuncts pushed down with the request may be answered
-                // by an index: restrict the cursor to candidate objects.
-                if let Some((handles, plan)) = self
-                    .pick_index_restriction(name, &req.conjuncts, &req.contains)
-                    .map_err(|e| aim2_exec::ExecError::Semantic(e.to_string()))?
-                {
-                    let keys = handles
-                        .iter()
-                        .filter(|h| !quarantined.contains(&h.0))
-                        .map(|h| h.0.to_u64())
-                        .collect();
-                    return Ok(ObjectCursor::keyed(req, &plan, keys));
-                }
-                let entry = self.catalog.get_mut(name).expect("checked above");
-                let TableStorage::Nf2(os) = &mut entry.storage else {
-                    unreachable!()
-                };
-                let keys = os
-                    .handles()
-                    .map_err(aim2_exec::ExecError::Storage)?
-                    .into_iter()
-                    .filter(|h| !quarantined.contains(&h.0))
-                    .map(|h| h.0.to_u64())
-                    .collect();
-                Ok(ObjectCursor::keyed(req, "full scan", keys))
-            }
-        }
+        // Conjuncts pushed down with the request may be answered by an
+        // index: restrict the cursor to candidate objects.
+        let (candidates, plan) = self
+            .pick_index_restriction(name, &req.conjuncts, &req.contains)
+            .map_err(|e| aim2_exec::ExecError::Semantic(e.to_string()))?
+            .unzip();
+        let walk = self.walk_keys(name, candidates, &req.conjuncts, &req.ranges)?;
+        let path = match plan {
+            Some(plan) => plan,
+            None if walk.cold_blocks == 0 => "full scan".to_string(),
+            None => format!(
+                "columnar scan: {} cold blocks ({} pruned by zone maps) + {} hot rows",
+                walk.cold_blocks, walk.pruned, walk.hot
+            ),
+        };
+        Ok(ObjectCursor::new(req, &path, ScanSource::Keys(walk.keys)))
     }
 
-    fn next_row(&mut self, cur: &mut ObjectCursor) -> aim2_exec::Result<Option<Tuple>> {
-        if cur.asof.is_some() {
-            return Ok(cur.next_buffered());
-        }
-        let Some(key) = cur.next_key() else {
-            return Ok(None);
-        };
-        if let Some((block, row)) = split_cold_key(key) {
-            let table = cur.table.clone();
-            return self.read_cold(&table, block, row);
-        }
-        let tid = Tid::from_u64(key);
-        let entry = self
-            .catalog
-            .get_mut(cur.table.as_str())
-            .ok_or_else(|| aim2_exec::ExecError::NoSuchTable(cur.table.clone()))?;
-        let schema = entry.schema.clone();
-        match &mut entry.storage {
-            TableStorage::Flat(fs) => fs
-                .read(tid)
-                .map(Some)
-                .map_err(aim2_exec::ExecError::Storage),
-            TableStorage::Nf2(os) => {
-                let h = ObjectHandle(tid);
-                let t = if cur.projection.is_some() {
-                    os.read_object_projected(&schema, h, &|p| cur.keep(p))
-                } else {
-                    os.read_object(&schema, h)
-                }
-                .map_err(aim2_exec::ExecError::Storage)?;
-                Ok(Some(t))
-            }
-        }
+    fn next_batch(
+        &mut self,
+        cur: &mut ObjectCursor,
+        max_rows: usize,
+    ) -> aim2_exec::Result<Option<Vec<Tuple>>> {
+        cur.pull(max_rows, |req, keys| Ok(self.read_keys(req, keys)?))
     }
 
     fn close_scan(&mut self, cur: ObjectCursor) {
@@ -1520,85 +1373,6 @@ impl TableProvider for Database {
             self.stats.inc_cursor_early_exit();
         }
         self.stats.record_cursor_lifetime(cur.age_ns());
-    }
-
-    fn next_batch(
-        &mut self,
-        cur: &mut ObjectCursor,
-        max_rows: usize,
-    ) -> aim2_exec::Result<Option<ColumnBatch>> {
-        if cur.is_local() {
-            return row_batch(self, cur, max_rows);
-        }
-        let Some(first) = cur.peek_key() else {
-            return Ok(None);
-        };
-        let Some((block, _)) = split_cold_key(first) else {
-            // Hot run. Cold keys sort first within a cursor, so from
-            // here on everything is heap rows — the transposing
-            // adapter serves them.
-            return row_batch(self, cur, max_rows);
-        };
-        // Cold run: drain this block's keys and serve them straight
-        // from the decoded columns — one block decode amortized over
-        // the whole batch.
-        let keys = cur.take_keys(
-            max_rows.max(1),
-            |k| matches!(split_cold_key(k), Some((b, _)) if b == block),
-        );
-        let table = cur.table.clone();
-        let decoded = self.read_cold_decoded(&table, block)?;
-        let schema = self
-            .catalog
-            .get(&table)
-            .ok_or_else(|| aim2_exec::ExecError::NoSuchTable(table.clone()))?
-            .schema
-            .clone();
-        // Equality short-circuit: a pushed `attr = lit` whose literal
-        // is absent from the block's dictionary rules out every row of
-        // the block without touching a single code.
-        for (p, a) in &cur.conjuncts {
-            let [one] = p.segments() else { continue };
-            let Some(i) = schema.attr_index(one) else {
-                continue;
-            };
-            if decoded
-                .columns
-                .get(i)
-                .is_some_and(|c| c.code_of(a).is_none())
-            {
-                return Ok(Some(ColumnBatch {
-                    columns: vec![Vec::new(); decoded.columns.len()],
-                    len: 0,
-                }));
-            }
-        }
-        let rows: Vec<usize> = keys
-            .iter()
-            .filter_map(|&k| split_cold_key(k))
-            .map(|(_, r)| r as usize)
-            .collect();
-        let mut columns: Vec<Vec<Value>> =
-            vec![Vec::with_capacity(rows.len()); decoded.columns.len()];
-        for &r in &rows {
-            for (c, col) in decoded.columns.iter().enumerate() {
-                let a = col.atom(r).cloned().ok_or_else(|| {
-                    aim2_exec::ExecError::Storage(aim2_storage::StorageError::Corrupt(
-                        "cold block code out of range".into(),
-                    ))
-                })?;
-                columns[c].push(Value::Atom(a));
-            }
-        }
-        // Decode accounting parity with the row path: one object and
-        // `arity` atoms per materialized row.
-        self.stats.add_objects_decoded(rows.len() as u64);
-        self.stats
-            .add_atoms_decoded((rows.len() * decoded.columns.len()) as u64);
-        Ok(Some(ColumnBatch {
-            columns,
-            len: rows.len(),
-        }))
     }
 
     fn decode_counters(&mut self) -> (u64, u64) {
@@ -1801,15 +1575,26 @@ impl Database {
     }
 
     /// Auto-quarantine on corruption-class read failures: the first read
-    /// surfaces the storage error, every later one gets the typed
-    /// quarantine error without touching the damaged pages again.
-    fn note_read_error(&mut self, table: &str, object: Tid, e: &DbError) {
+    /// surfaces the storage error, every later one skips the unit (scans)
+    /// or gets the typed quarantine error (object reads) without touching
+    /// the damaged pages again. `unit` is the root TID of a heap row or
+    /// object, or the home TID of a cold block — a block is one record,
+    /// damaged as a unit, and its CRC guards the whole record, so for
+    /// `cold` units a checksum mismatch counts as well.
+    fn note_read_error(
+        &mut self,
+        table: &str,
+        unit: Tid,
+        cold: bool,
+        e: &aim2_storage::StorageError,
+    ) {
         use aim2_storage::StorageError as SE;
         if matches!(
             e,
-            DbError::Storage(SE::Corrupt(_) | SE::CorruptPage { .. } | SE::CorruptData(_))
-        ) {
-            self.quarantine_insert(table, object);
+            SE::Corrupt(_) | SE::CorruptPage { .. } | SE::CorruptData(_)
+        ) || (cold && matches!(e, SE::ChecksumMismatch(_)))
+        {
+            self.quarantine_insert(table, unit);
         }
     }
 
@@ -1820,14 +1605,11 @@ impl Database {
         self.check_quarantine(table, handle.0)?;
         let entry = self.catalog.require_mut(table)?;
         let schema = entry.schema.clone();
-        let out = entry
-            .nf2_mut()?
-            .read_object(&schema, handle)
-            .map_err(DbError::from);
+        let out = entry.nf2_mut()?.read_object(&schema, handle);
         if let Err(e) = &out {
-            self.note_read_error(table, handle.0, e);
+            self.note_read_error(table, handle.0, false, e);
         }
-        out
+        Ok(out?)
     }
 
     /// Read just the atomic attributes at `loc` inside an object — the
@@ -1842,14 +1624,11 @@ impl Database {
         self.check_quarantine(table, handle.0)?;
         let entry = self.catalog.require_mut(table)?;
         let schema = entry.schema.clone();
-        let out = entry
-            .nf2_mut()?
-            .read_atoms_at(&schema, handle, loc)
-            .map_err(DbError::from);
+        let out = entry.nf2_mut()?.read_atoms_at(&schema, handle, loc);
         if let Err(e) = &out {
-            self.note_read_error(table, handle.0, e);
+            self.note_read_error(table, handle.0, false, e);
         }
-        out
+        Ok(out?)
     }
 
     /// Update the atomic attributes of one (sub)tuple of an object, with
@@ -1869,39 +1648,175 @@ impl Database {
         })
     }
 
-    /// The logical contents of a table (whole tuples, storage-agnostic)
-    /// — the transaction layer's undo snapshot.
-    pub fn snapshot_table(&mut self, table: &str) -> Result<Vec<Tuple>> {
+    /// The one table walk: scan keys of every live row of `table` in
+    /// scan order — cold keys of unquarantined blocks first (they hold
+    /// the oldest rows, so every consumer sees insertion order), then
+    /// hot TIDs / object handles minus quarantine. `candidates`, when
+    /// an index restricted the scan, stands in for an NF² table's full
+    /// handle list. Pushed single-attribute `conjuncts` and `ranges`
+    /// check each cold block's zone maps *before* any decode: a block
+    /// whose min/max cannot satisfy them is skipped wholesale.
+    fn walk_keys(
+        &mut self,
+        table: &str,
+        candidates: Option<Vec<ObjectHandle>>,
+        conjuncts: &[(Path, Atom)],
+        ranges: &[(Path, RangePred)],
+    ) -> Result<TableWalk> {
         let quarantined = self.quarantined_in(table);
-        let entry = self.catalog.require_mut(table)?;
-        let schema = entry.schema.clone();
-        match &mut entry.storage {
-            TableStorage::Nf2(os) => {
-                let mut out = Vec::new();
-                for h in os.handles()? {
-                    if quarantined.contains(&h.0) {
-                        continue; // unreadable; salvage is the way back
-                    }
-                    out.push(os.read_object(&schema, h)?);
-                }
-                Ok(out)
+        let TableEntry {
+            schema, storage, ..
+        } = self.catalog.require_mut(table)?;
+        let mut walk = TableWalk::default();
+        let hot = match storage {
+            TableStorage::Nf2(os) => match candidates {
+                Some(handles) => handles,
+                None => os.handles()?,
             }
+            .into_iter()
+            .map(|h| h.0)
+            .collect(),
             TableStorage::Flat(fs) => {
-                let mut out = Vec::new();
-                for (ord, meta) in fs.cold_blocks().to_vec().iter().enumerate() {
+                let eqs: Vec<_> = conjuncts
+                    .iter()
+                    .filter_map(|(p, a)| Some((column_of(schema, p)?, a)))
+                    .collect();
+                let ranges: Vec<_> = ranges
+                    .iter()
+                    .filter_map(|(p, r)| Some((column_of(schema, p)?, r)))
+                    .collect();
+                walk.cold_blocks = fs.cold_blocks().len();
+                for (ord, meta) in fs.cold_blocks().iter().enumerate() {
                     if quarantined.contains(&meta.tid) {
                         continue; // unreadable; salvage is the way back
                     }
-                    for row in 0..meta.rows {
-                        out.push(fs.materialize_cold_row(ord, row)?);
+                    let admitted = eqs
+                        .iter()
+                        .all(|(i, a)| meta.zones.get(*i).is_none_or(|z| zone_may_contain(z, a)))
+                        && ranges.iter().all(|(i, r)| {
+                            meta.zones
+                                .get(*i)
+                                .is_none_or(|z| zone_may_intersect(z, r.lo.as_ref(), r.hi.as_ref()))
+                        });
+                    if !admitted {
+                        walk.pruned += 1;
+                        self.stats.inc_colstore_block_pruned();
+                        continue;
+                    }
+                    walk.keys
+                        .extend((0..meta.rows).map(|row| cold_key(ord, row)));
+                }
+                fs.tids().to_vec()
+            }
+        };
+        let cold_rows = walk.keys.len();
+        walk.keys.extend(
+            hot.into_iter()
+                .filter(|t| !quarantined.contains(t))
+                .map(Tid::to_u64),
+        );
+        walk.hot = walk.keys.len() - cold_rows;
+        Ok(walk)
+    }
+
+    /// The one keyed read: the rows behind a run of scan keys, in key
+    /// order. The catalog entry and schema are resolved once per call
+    /// and each cold block is decoded once per consecutive run of its
+    /// keys. The request's projection prunes NF² subtables; a pushed
+    /// `attr = lit` whose literal is absent from a cold block's
+    /// dictionary rules out every row of that block without touching a
+    /// code, so fewer rows than keys may come back. A corruption-class
+    /// failure quarantines the unit that failed before the error
+    /// surfaces — the next scan skips it.
+    pub fn read_keys(&mut self, req: &ScanRequest, keys: &[u64]) -> Result<Vec<Tuple>> {
+        let table = req.table.as_str();
+        let TableEntry {
+            schema, storage, ..
+        } = self.catalog.require_mut(table)?;
+        let stats = &self.stats;
+        let keep = |p: &Path| req.projection.as_ref().is_none_or(|r| r.keep(p));
+        let mut rows = Vec::with_capacity(keys.len());
+        // The quarantine unit being read: (home TID, is a cold block).
+        let mut unit = None;
+        let mut read = || -> aim2_storage::Result<()> {
+            let mut rest = keys;
+            while let Some(&key) = rest.first() {
+                match (&mut *storage, split_cold_key(key)) {
+                    (storage, None) => {
+                        let tid = Tid::from_u64(key);
+                        unit = Some((tid, false));
+                        rows.push(match storage {
+                            TableStorage::Nf2(os) => {
+                                os.read_object_projected(schema, ObjectHandle(tid), &keep)?
+                            }
+                            TableStorage::Flat(fs) => fs.read(tid)?,
+                        });
+                        rest = &rest[1..];
+                    }
+                    (TableStorage::Flat(fs), Some((block, _))) => {
+                        let len = rest
+                            .iter()
+                            .take_while(|&&k| split_cold_key(k).is_some_and(|(b, _)| b == block))
+                            .count();
+                        let (run, tail) = rest.split_at(len);
+                        rest = tail;
+                        unit = fs.cold_blocks().get(block).map(|m| (m.tid, true));
+                        let decoded = fs.read_cold_block(block)?;
+                        let ruled_out = req.conjuncts.iter().any(|(p, a)| {
+                            column_of(schema, p)
+                                .and_then(|i| decoded.columns.get(i))
+                                .is_some_and(|c| c.code_of(a).is_none())
+                        });
+                        if ruled_out {
+                            continue;
+                        }
+                        for &k in run {
+                            let (_, row) = split_cold_key(k).expect("a run of cold keys");
+                            rows.push(decoded.row(row as usize)?);
+                        }
+                        // Decode accounting parity with heap reads: one
+                        // object and `arity` atoms per materialized row.
+                        stats.add_objects_decoded(run.len() as u64);
+                        stats.add_atoms_decoded((run.len() * decoded.columns.len()) as u64);
+                    }
+                    (TableStorage::Nf2(_), Some(_)) => {
+                        unit = None;
+                        return Err(aim2_storage::StorageError::Corrupt(format!(
+                            "cold row key on NF² table {table}"
+                        )));
                     }
                 }
-                for tid in fs.tids().to_vec() {
-                    out.push(fs.read(tid)?);
-                }
-                Ok(out)
             }
+            Ok(())
+        };
+        let out = read();
+        if let (Err(e), Some((tid, cold))) = (&out, unit) {
+            self.note_read_error(table, tid, cold, e);
         }
+        out?;
+        Ok(rows)
+    }
+
+    /// Every live row of `table` paired with its scan key, through the
+    /// one walk and the one keyed read.
+    fn live_rows(
+        &mut self,
+        table: &str,
+        projection: Option<Referenced>,
+    ) -> Result<(Vec<u64>, Vec<Tuple>)> {
+        let keys = self.walk_keys(table, None, &[], &[])?.keys;
+        let req = ScanRequest {
+            projection,
+            ..ScanRequest::full(table, None)
+        };
+        let rows = self.read_keys(&req, &keys)?;
+        Ok((keys, rows))
+    }
+
+    /// The logical contents of a table (whole tuples, storage-agnostic)
+    /// — the transaction layer's undo snapshot.
+    pub fn snapshot_table(&mut self, table: &str) -> Result<Vec<Tuple>> {
+        Ok(self.live_rows(table, None)?.1)
     }
 
     /// Like [`Database::snapshot_table`], but each tuple is paired with
@@ -1910,40 +1825,12 @@ impl Database {
     /// epoch store, keyed so later object-granularity commits can patch
     /// individual rows instead of re-snapshotting.
     pub fn snapshot_table_keyed(&mut self, table: &str) -> Result<Vec<(u64, Tuple)>> {
-        let quarantined = self.quarantined_in(table);
-        let entry = self.catalog.require_mut(table)?;
-        let schema = entry.schema.clone();
-        match &mut entry.storage {
-            TableStorage::Nf2(os) => {
-                let mut out = Vec::new();
-                for h in os.handles()? {
-                    if quarantined.contains(&h.0) {
-                        continue; // unreadable; salvage is the way back
-                    }
-                    out.push((h.0.to_u64(), os.read_object(&schema, h)?));
-                }
-                Ok(out)
-            }
-            TableStorage::Flat(fs) => {
-                let mut out = Vec::new();
-                for (ord, meta) in fs.cold_blocks().to_vec().iter().enumerate() {
-                    if quarantined.contains(&meta.tid) {
-                        continue; // unreadable; salvage is the way back
-                    }
-                    for row in 0..meta.rows {
-                        out.push((cold_key(ord, row), fs.materialize_cold_row(ord, row)?));
-                    }
-                }
-                for tid in fs.tids().to_vec() {
-                    out.push((tid.to_u64(), fs.read(tid)?));
-                }
-                Ok(out)
-            }
-        }
+        let (keys, rows) = self.live_rows(table, None)?;
+        Ok(keys.into_iter().zip(rows).collect())
     }
 
     /// Replace a table's contents with a previous [`Database::snapshot_table`]
-    /// — transaction rollback. Every current row/object is deleted and
+    /// — transaction rollback. Every live row/object is deleted and
     /// the snapshot reinserted through the regular maintenance paths, so
     /// attribute indexes and text indexes stay consistent. NF² object
     /// handles are reassigned; on versioned tables the restored states
@@ -1953,22 +1840,18 @@ impl Database {
         // Rollback rewrites the heap row-wise; thaw any cold tier first
         // so the delete loop below sees every live row.
         self.melt_if_cold(table)?;
-        let entry = self.catalog.require_mut(table)?;
-        match &mut entry.storage {
-            TableStorage::Nf2(os) => {
-                for h in os.handles()? {
-                    self.delete_object(table, h)?;
-                }
-            }
-            TableStorage::Flat(fs) => {
-                let tids = fs.tids().to_vec();
-                let today = self.today;
-                for tid in tids {
-                    fs.delete(tid)?;
-                    if let Some(v) = &mut entry.versions {
-                        v.record_delete(ObjectHandle(tid), today);
-                    }
-                }
+        // Delete what the snapshot saw: the live rows. Quarantined ones
+        // were not part of it and stay where they are.
+        let keys = self.walk_keys(table, None, &[], &[])?.keys;
+        let nf2 = matches!(
+            self.catalog.require_mut(table)?.storage,
+            TableStorage::Nf2(_)
+        );
+        for tid in keys.into_iter().map(Tid::from_u64) {
+            if nf2 {
+                self.delete_object(table, ObjectHandle(tid))?;
+            } else {
+                self.delete_flat_row(table, tid)?;
             }
         }
         for t in tuples {
@@ -2072,124 +1955,19 @@ impl Database {
     /// key, hot rows under their TID doc id; tier moves invalidate
     /// both, so compaction and melting rebuild rather than patch.
     fn rebuild_flat_text_indexes(&mut self, table: &str) -> Result<()> {
-        let entry = self.catalog.require_mut(table)?;
-        if entry.text_indexes.is_empty() {
+        if self.catalog.require_mut(table)?.text_indexes.is_empty() {
             return Ok(());
         }
-        let schema = entry.schema.clone();
-        let TableStorage::Flat(fs) = &mut entry.storage else {
-            return Ok(());
-        };
-        let mut docs: Vec<(u64, Vec<Atom>)> = Vec::new();
-        for ord in 0..fs.cold_blocks().len() {
-            for row in 0..fs.cold_blocks()[ord].rows {
-                let t = fs.materialize_cold_row(ord, row)?;
-                docs.push((
-                    cold_key(ord, row),
-                    t.fields
-                        .iter()
-                        .filter_map(|v| v.as_atom().cloned())
-                        .collect(),
-                ));
-            }
-        }
-        for tid in fs.tids().to_vec() {
-            let t = fs.read(tid)?;
-            docs.push((
-                doc_id(tid),
-                t.fields
-                    .iter()
-                    .filter_map(|v| v.as_atom().cloned())
-                    .collect(),
-            ));
-        }
-        for tix in &mut entry.text_indexes {
-            tix.index = TextIndex::new();
-            for (id, atoms) in &docs {
-                if let Some(text) = text_of(&schema, &tix.attr, atoms) {
-                    tix.index.add_document(*id, &text);
-                }
-            }
+        let (keys, rows) = self.live_rows(table, None)?;
+        let TableEntry {
+            schema,
+            text_indexes,
+            ..
+        } = self.catalog.require_mut(table)?;
+        for tix in text_indexes {
+            tix.index = build_text_index(schema, &tix.attr, &keys, &rows);
         }
         Ok(())
-    }
-
-    /// Materialize one cold row for the cursor pipeline, quarantining
-    /// the block on corruption-class failures — a cold block is one
-    /// record, damaged as a unit, so its home TID is the quarantine
-    /// key and later scans skip the whole block.
-    fn read_cold(
-        &mut self,
-        table: &str,
-        block: usize,
-        row: u32,
-    ) -> aim2_exec::Result<Option<Tuple>> {
-        let (out, block_tid) = {
-            let entry = self
-                .catalog
-                .get_mut(table)
-                .ok_or_else(|| aim2_exec::ExecError::NoSuchTable(table.to_string()))?;
-            let TableStorage::Flat(fs) = &mut entry.storage else {
-                return Err(aim2_exec::ExecError::Semantic(format!(
-                    "cold row key on non-flat table {table}"
-                )));
-            };
-            let tid = fs.cold_blocks().get(block).map(|m| m.tid);
-            (fs.materialize_cold_row(block, row), tid)
-        };
-        match out {
-            Ok(t) => Ok(Some(t)),
-            Err(e) => {
-                self.quarantine_cold_error(table, block_tid, &e);
-                Err(aim2_exec::ExecError::Storage(e))
-            }
-        }
-    }
-
-    /// Decode one whole cold block for a batch pull (same quarantine
-    /// policy as [`Database::read_cold`]).
-    fn read_cold_decoded(
-        &mut self,
-        table: &str,
-        block: usize,
-    ) -> aim2_exec::Result<Arc<DecodedBlock>> {
-        let (out, block_tid) = {
-            let entry = self
-                .catalog
-                .get_mut(table)
-                .ok_or_else(|| aim2_exec::ExecError::NoSuchTable(table.to_string()))?;
-            let TableStorage::Flat(fs) = &mut entry.storage else {
-                return Err(aim2_exec::ExecError::Semantic(format!(
-                    "cold row key on non-flat table {table}"
-                )));
-            };
-            let tid = fs.cold_blocks().get(block).map(|m| m.tid);
-            (fs.read_cold_block(block), tid)
-        };
-        out.map_err(|e| {
-            self.quarantine_cold_error(table, block_tid, &e);
-            aim2_exec::ExecError::Storage(e)
-        })
-    }
-
-    /// Auto-quarantine a cold block on corruption-class decode
-    /// failures. Unlike [`Database::note_read_error`] this includes
-    /// checksum mismatches: the block CRC guards the whole record.
-    fn quarantine_cold_error(
-        &mut self,
-        table: &str,
-        block_tid: Option<Tid>,
-        e: &aim2_storage::StorageError,
-    ) {
-        use aim2_storage::StorageError as SE;
-        if matches!(
-            e,
-            SE::Corrupt(_) | SE::CorruptPage { .. } | SE::CorruptData(_) | SE::ChecksumMismatch(_)
-        ) {
-            if let Some(tid) = block_tid {
-                self.quarantine_insert(table, tid);
-            }
-        }
     }
 
     /// The version store of a versioned table (walk-through-time lives

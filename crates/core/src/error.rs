@@ -81,6 +81,18 @@ impl From<aim2_exec::ExecError> for DbError {
         DbError::Exec(e)
     }
 }
+/// Scan-path errors cross back into the evaluator typed: storage
+/// failures stay storage failures (the wire layer maps them to their own
+/// error code), everything else is reported by message.
+impl From<DbError> for aim2_exec::ExecError {
+    fn from(e: DbError) -> Self {
+        match e {
+            DbError::Exec(e) => e,
+            DbError::Storage(e) => aim2_exec::ExecError::Storage(e),
+            other => aim2_exec::ExecError::Semantic(other.to_string()),
+        }
+    }
+}
 impl From<aim2_storage::StorageError> for DbError {
     fn from(e: aim2_storage::StorageError) -> Self {
         DbError::Storage(e)

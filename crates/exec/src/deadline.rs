@@ -2,7 +2,7 @@
 //!
 //! A [`Deadline`] is a wall-clock point after which a statement must
 //! stop consuming engine resources. The evaluator checks it at its
-//! single cursor-pull choke point (`Evaluator::pull_row`), so an
+//! single cursor-pull choke point (`Evaluator::pull`), so an
 //! expired statement unwinds through the normal cursor-closing path —
 //! locks release, the implicit transaction rolls back, and the caller
 //! sees a typed [`crate::ExecError::DeadlineExceeded`] it can map to a

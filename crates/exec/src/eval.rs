@@ -7,24 +7,26 @@
 //! to", §3); WHERE filters each combination; SELECT items (including
 //! correlated subqueries) build each result tuple.
 //!
-//! Execution is a pull-based cursor pipeline: the outermost stored-table
-//! binding and stored-table quantifiers stream one row per
-//! [`TableProvider::next_row`] pull, with the pushdown contract
+//! Execution is a pull-based cursor pipeline over one primitive,
+//! [`TableProvider::next_batch`], with the pushdown contract
 //! (projection + indexable conjuncts) carried down in the
-//! [`ScanRequest`], so `EXISTS` and quantifier short-circuits stop
-//! pulling pages the moment they are decided. Inner join bindings
-//! materialize once into a per-query scan cache (a join partner is
-//! enumerated many times; re-decoding it per outer row would be worse
-//! than the paper's own design). Setting [`Evaluator::materialize`]
-//! restores the reference materialize-then-evaluate behavior — the
-//! oracle the equivalence suite compares against.
+//! [`ScanRequest`]. The outermost stored-table binding pulls
+//! [`BATCH_ROWS`] rows at a time and filters each batch before fanning
+//! it into the nested loops; stored-table quantifiers pull one row at
+//! a time, so `EXISTS` and `FORALL` stop reading pages the moment they
+//! are decided. Inner join bindings materialize once into a per-query
+//! scan cache (a join partner is enumerated many times; re-decoding it
+//! per outer row would be worse than the paper's own design). Setting
+//! [`Evaluator::materialize`] selects the reference
+//! materialize-then-evaluate behavior — the oracle the equivalence
+//! suite compares against.
 
 use crate::analysis::{referenced_paths, Referenced};
 use crate::analyze::{AnalyzedPlan, OpMetrics};
 use crate::error::ExecError;
 use crate::infer::{infer_query_schema, SchemaEnv};
 use crate::plan::{collect_subscripts, render_expr, PhysOp, PhysicalPlan};
-use crate::provider::{ColumnBatch, ObjectCursor, RangePred, ScanRequest, TableProvider};
+use crate::provider::{ObjectCursor, RangePred, ScanRequest, TableProvider, BATCH_ROWS};
 use crate::value::{compare, resolve, EvalValue};
 use crate::Result;
 use aim2_lang::ast::{Binding, Expr, NamedValue, Query, SelectItem, Source};
@@ -46,14 +48,10 @@ pub trait RowSink {
     fn on_row(&mut self, row: Tuple) -> Result<()>;
 }
 
-/// Rows per batch the head-scan pipeline pulls (matches the cold
-/// store's block size, so a cold block becomes exactly one batch).
-const BATCH_ROWS: usize = 1024;
-
 /// Vectorized filter for the head scan: *exact* top-level conjuncts of
 /// the WHERE (single-attribute equality / range / CONTAINS on the head
-/// variable), applied column-at-a-time to each batch before rows fan
-/// out into the nested-loop pipeline. Exactness matters: a dropped row
+/// variable), applied to each batch before rows fan out into the
+/// nested-loop pipeline. Exactness matters: a dropped row
 /// never reaches the re-checking Filter, so only conjuncts that are
 /// unconditionally required may appear here. Anything the filter is
 /// unsure about (non-atom value, type mismatch) is kept and left to
@@ -66,8 +64,8 @@ struct VecFilter {
 }
 
 impl VecFilter {
-    /// Test one column value against an equality key: `Some(false)`
-    /// only when the row provably fails the conjunct.
+    /// Test one field against an equality key: `false` only when the
+    /// row provably fails the conjunct.
     fn eq_keeps(v: &Value, key: &Atom) -> bool {
         match v {
             Value::Atom(a) => !matches!(
@@ -339,50 +337,15 @@ impl<'p, P: TableProvider> Evaluator<'p, P> {
         self.plan = Some(plan);
     }
 
-    /// Pull one row, attributing the pull's decode-counter deltas and
-    /// wall time to the cursor's plan node when analyzing. Every
-    /// evaluator pull goes through here, so summing the per-operator
-    /// `objects` deltas always reproduces the query's total Stats
-    /// delta. (Deltas use saturating subtraction: the counters are
-    /// process-shared, so a concurrent session can only over-attribute,
-    /// never underflow.)
-    fn pull_row(&mut self, cur: &mut ObjectCursor) -> Result<Option<Tuple>> {
-        if let Some(d) = self.deadline {
-            if d.expired() {
-                aim2_obs::note_event("deadline.exceeded");
-                return Err(ExecError::DeadlineExceeded);
-            }
-        }
-        if !self.analyze {
-            return self.provider.next_row(cur);
-        }
-        let t0 = Instant::now();
-        let (obj0, atom0) = self.provider.decode_counters();
-        let row = self.provider.next_row(cur);
-        let (obj1, atom1) = self.provider.decode_counters();
-        let node = cur
-            .plan_node
-            .unwrap_or_else(|| self.plan.as_ref().map_or(0, |p| p.root));
-        if let Some(m) = self.ops.get_mut(node) {
-            m.objects_decoded += obj1.saturating_sub(obj0);
-            m.atoms_decoded += atom1.saturating_sub(atom0);
-            m.wall_ns += t0.elapsed().as_nanos() as u64;
-            if matches!(row, Ok(Some(_))) {
-                m.rows_out += 1;
-            }
-        }
-        row
-    }
-
-    /// Pull one batch, attributing decode and cold-store counter deltas
-    /// to the cursor's plan node when analyzing. Counters are sampled
-    /// **once per batch**, not per row — the per-operator sum invariant
-    /// over decode counters holds exactly, at batch granularity.
-    fn pull_batch(
-        &mut self,
-        cur: &mut ObjectCursor,
-        max_rows: usize,
-    ) -> Result<Option<ColumnBatch>> {
+    /// The one pull: up to `max_rows` rows from `cur`. Every evaluator
+    /// pull goes through here, so the statement deadline is checked
+    /// here and, when analyzing, the pull's decode and cold-store
+    /// counter deltas and wall time are attributed to the cursor's plan
+    /// node — summing the per-operator `objects` deltas always
+    /// reproduces the query's total Stats delta. (Deltas use saturating
+    /// subtraction: the counters are process-shared, so a concurrent
+    /// session can only over-attribute, never underflow.)
+    fn pull(&mut self, cur: &mut ObjectCursor, max_rows: usize) -> Result<Option<Vec<Tuple>>> {
         if let Some(d) = self.deadline {
             if d.expired() {
                 aim2_obs::note_event("deadline.exceeded");
@@ -407,8 +370,8 @@ impl<'p, P: TableProvider> Evaluator<'p, P> {
             m.blocks_decoded += dec1.saturating_sub(dec0);
             m.values_scanned += val1.saturating_sub(val0);
             m.wall_ns += t0.elapsed().as_nanos() as u64;
-            if let Ok(Some(b)) = &batch {
-                m.rows_out += b.len as u64;
+            if let Ok(Some(rows)) = &batch {
+                m.rows_out += rows.len() as u64;
             }
         }
         batch
@@ -724,8 +687,8 @@ impl<'p, P: TableProvider> Evaluator<'p, P> {
                 cur.plan_node = self.binding_nodes.get(&Self::baddr(b)).copied();
                 self.note_open(cur.plan_node, cur.len());
                 let mut tuples = Vec::with_capacity(cur.len());
-                while let Some(t) = self.pull_row(&mut cur)? {
-                    tuples.push(t);
+                while let Some(rows) = self.pull(&mut cur, BATCH_ROWS)? {
+                    tuples.extend(rows);
                 }
                 self.provider.close_scan(cur);
                 let value = TableValue {
@@ -757,7 +720,7 @@ impl<'p, P: TableProvider> Evaluator<'p, P> {
 
     /// Enumerate all combinations of the bindings, invoking `f` per
     /// combination. When `stream_head` is set, the first stored-table
-    /// binding is pulled through a cursor one row at a time instead of
+    /// binding is pulled through a cursor batch by batch instead of
     /// materializing the table.
     fn for_each_combination(
         &mut self,
@@ -772,16 +735,16 @@ impl<'p, P: TableProvider> Evaluator<'p, P> {
             Some((b, rest)) => {
                 if stream_head && matches!(b.source, Source::Table(_)) {
                     let (schema, mut cur) = self.open_table_cursor(b, use_refs, true)?;
-                    // Batch-at-a-time: pull column batches, run the
-                    // vectorized filter (when the WHERE gave us exact
-                    // head conjuncts), then fan the survivors into the
-                    // nested-loop pipeline row-wise. Quantifier early
-                    // exits still abort between batches, so a decided
-                    // query prefetches at most one batch too many.
+                    // Batch-at-a-time: pull a batch, run the vectorized
+                    // filter (when the WHERE gave us exact head
+                    // conjuncts), then fan the survivors into the
+                    // nested-loop pipeline. Errors abort between
+                    // batches, so a failing query prefetches at most
+                    // one batch too many.
                     let vf = self.vec_filter.take().filter(|v| v.var == b.var);
                     let mut res = Ok(());
                     'scan: loop {
-                        let batch = match self.pull_batch(&mut cur, BATCH_ROWS) {
+                        let batch = match self.pull(&mut cur, BATCH_ROWS) {
                             Ok(Some(batch)) => batch,
                             Ok(None) => break,
                             Err(e) => {
@@ -789,13 +752,7 @@ impl<'p, P: TableProvider> Evaluator<'p, P> {
                                 break;
                             }
                         };
-                        let rows = match self.apply_vec_filter(vf.as_ref(), &schema, batch, &cur) {
-                            Ok(rows) => rows,
-                            Err(e) => {
-                                res = Err(e);
-                                break;
-                            }
-                        };
+                        let rows = self.apply_vec_filter(vf.as_ref(), &schema, batch, &cur);
                         for t in rows {
                             env.frames.push(Frame {
                                 var: b.var.clone(),
@@ -843,62 +800,56 @@ impl<'p, P: TableProvider> Evaluator<'p, P> {
     }
 
     /// Run the vectorized filter over one head batch and hand back the
-    /// surviving rows. Values actually tested are credited to the
-    /// provider's `colstore.values_scanned` counter and, when
-    /// analyzing, to the scan operator. With no filter (or a batch
-    /// whose shape doesn't match the schema — e.g. a provider that
-    /// projects columns away) the batch passes through untouched.
+    /// surviving rows. Each row meets the conjuncts in a fixed order —
+    /// equalities, ranges, CONTAINS — and stops at the first it fails;
+    /// every test made is credited to the provider's
+    /// `colstore.values_scanned` counter and, when analyzing, to the
+    /// scan operator. With no filter (or a batch whose shape doesn't
+    /// match the schema — e.g. a provider that projects columns away)
+    /// the batch passes through untouched.
     fn apply_vec_filter(
         &mut self,
         vf: Option<&VecFilter>,
         schema: &TableSchema,
-        batch: ColumnBatch,
+        mut batch: Vec<Tuple>,
         cur: &ObjectCursor,
-    ) -> Result<Vec<Tuple>> {
+    ) -> Vec<Tuple> {
         let Some(vf) = vf else {
-            return Ok(batch.into_rows());
+            return batch;
         };
-        if batch.columns.len() != schema.attrs.len() || batch.is_empty() {
-            return Ok(batch.into_rows());
+        if batch
+            .first()
+            .is_none_or(|t| t.fields.len() != schema.attrs.len())
+        {
+            return batch;
         }
-        let mut mask = vec![true; batch.len];
+        fn columns<'v, K>(
+            schema: &TableSchema,
+            conjuncts: &'v [(String, K)],
+        ) -> Vec<(usize, &'v K)> {
+            conjuncts
+                .iter()
+                .filter_map(|(attr, k)| Some((schema.attr_index(attr)?, k)))
+                .collect()
+        }
+        let eqs = columns(schema, &vf.eqs);
+        let ranges = columns(schema, &vf.ranges);
+        let contains = columns(schema, &vf.contains);
         let mut tested: u64 = 0;
-        for (attr, key) in &vf.eqs {
-            let Some(c) = schema.attr_index(attr) else {
-                continue;
+        batch.retain(|row| {
+            let mut test = |keeps: bool| {
+                tested += 1;
+                keeps
             };
-            let col = &batch.columns[c];
-            for (r, keep) in mask.iter_mut().enumerate() {
-                if *keep {
-                    tested += 1;
-                    *keep = VecFilter::eq_keeps(&col[r], key);
-                }
-            }
-        }
-        for (attr, pred) in &vf.ranges {
-            let Some(c) = schema.attr_index(attr) else {
-                continue;
-            };
-            let col = &batch.columns[c];
-            for (r, keep) in mask.iter_mut().enumerate() {
-                if *keep {
-                    tested += 1;
-                    *keep = VecFilter::range_keeps(&col[r], pred);
-                }
-            }
-        }
-        for (attr, pattern) in &vf.contains {
-            let Some(c) = schema.attr_index(attr) else {
-                continue;
-            };
-            let col = &batch.columns[c];
-            for (r, keep) in mask.iter_mut().enumerate() {
-                if *keep {
-                    tested += 1;
-                    *keep = VecFilter::contains_keeps(&col[r], pattern);
-                }
-            }
-        }
+            eqs.iter()
+                .all(|(c, key)| test(VecFilter::eq_keeps(&row.fields[*c], key)))
+                && ranges
+                    .iter()
+                    .all(|(c, pred)| test(VecFilter::range_keeps(&row.fields[*c], pred)))
+                && contains
+                    .iter()
+                    .all(|(c, p)| test(VecFilter::contains_keeps(&row.fields[*c], p)))
+        });
         self.provider.note_values_scanned(tested);
         if self.analyze {
             let node = cur
@@ -908,9 +859,7 @@ impl<'p, P: TableProvider> Evaluator<'p, P> {
                 m.values_scanned += tested;
             }
         }
-        let mut batch = batch;
-        batch.retain(&mask);
-        Ok(batch.into_rows())
+        batch
     }
 
     /// Evaluate a quantifier over a stored table by streaming its
@@ -929,8 +878,12 @@ impl<'p, P: TableProvider> Evaluator<'p, P> {
         // true and flips on a violation.
         let mut res = Ok(!exists);
         loop {
-            let t = match self.pull_row(&mut cur) {
-                Ok(Some(t)) => t,
+            // One row per pull: nothing past the deciding object is read.
+            let t = match self.pull(&mut cur, 1) {
+                Ok(Some(mut rows)) => match rows.pop() {
+                    Some(t) => t,
+                    None => continue,
+                },
                 Ok(None) => break,
                 Err(e) => {
                     res = Err(e);

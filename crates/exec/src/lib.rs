@@ -38,7 +38,7 @@ pub use error::ExecError;
 pub use eval::{Evaluator, RowSink};
 pub use plan::{PhysOp, PhysicalPlan};
 pub use provider::{
-    row_batch, ColumnBatch, MemProvider, ObjectCursor, ScanRequest, SharedRows, TableProvider,
+    MemProvider, ObjectCursor, ScanRequest, ScanSource, SharedRows, TableProvider, BATCH_ROWS,
 };
 
 /// Result alias for execution.

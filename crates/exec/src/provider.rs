@@ -1,18 +1,21 @@
-//! Table access abstraction: the cursor pipeline's storage boundary.
+//! Table access abstraction: the scan path's storage boundary.
 //!
 //! The evaluator pulls rows through a [`TableProvider`]; the database
 //! facade implements it over object stores (with projection and
 //! predicate pushdown), while [`MemProvider`] serves the executor's own
 //! tests and the algebra benches.
 //!
-//! The contract is open/next/close:
+//! The contract is open/pull/close:
 //!
 //! * [`TableProvider::open_scan`] receives a [`ScanRequest`] carrying
 //!   the *pushdown contract* — the needed-paths set (projection) and
-//!   the indexable/CONTAINS conjuncts the provider may use to
-//!   pre-restrict candidates — and returns an [`ObjectCursor`];
-//! * [`TableProvider::next_row`] decodes and returns one row per call,
-//!   so quantifiers can stop pulling the moment they are decided;
+//!   the indexable/CONTAINS/range conjuncts the provider may use to
+//!   pre-restrict candidates — and returns an [`ObjectCursor`] over
+//!   one of two sources: keys the provider must read, or rows the
+//!   cursor already holds;
+//! * [`TableProvider::next_batch`] is the one pull: up to `max_rows`
+//!   row-major tuples per call. Quantifiers pull with `max_rows = 1`,
+//!   so they stop decoding the moment they are decided;
 //! * [`TableProvider::close_scan`] lets the provider account for early
 //!   exits (a cursor closed before exhaustion never decoded the rest).
 
@@ -74,158 +77,50 @@ impl ScanRequest {
     }
 }
 
-/// One batch of rows in column-major form: `columns[c][r]` is column
-/// `c` of the batch's row `r`. The unit of the batch-at-a-time cursor
-/// protocol — vectorized filters test one column vector at a time
-/// instead of re-walking every tuple.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ColumnBatch {
-    pub columns: Vec<Vec<aim2_model::Value>>,
-    pub len: usize,
-}
+/// Rows per pull of a draining scan (matches the cold store's block
+/// size, so a whole cold block arrives in one pull).
+pub const BATCH_ROWS: usize = 1024;
 
-impl ColumnBatch {
-    /// Transpose row-major tuples into a batch.
-    pub fn from_rows(rows: Vec<Tuple>) -> ColumnBatch {
-        let len = rows.len();
-        let ncols = rows.first().map(|t| t.fields.len()).unwrap_or(0);
-        let mut columns: Vec<Vec<aim2_model::Value>> =
-            (0..ncols).map(|_| Vec::with_capacity(len)).collect();
-        for t in rows {
-            for (c, v) in t.fields.into_iter().enumerate() {
-                columns[c].push(v);
-            }
-        }
-        ColumnBatch { columns, len }
-    }
-
-    /// Transpose back into row-major tuples.
-    pub fn into_rows(self) -> Vec<Tuple> {
-        let mut rows: Vec<Vec<aim2_model::Value>> = (0..self.len)
-            .map(|_| Vec::with_capacity(self.columns.len()))
-            .collect();
-        for col in self.columns {
-            for (r, v) in col.into_iter().enumerate() {
-                rows[r].push(v);
-            }
-        }
-        rows.into_iter().map(Tuple::new).collect()
-    }
-
-    /// Keep only the rows whose index the mask marks `true`.
-    pub fn retain(&mut self, mask: &[bool]) {
-        for col in &mut self.columns {
-            let mut i = 0;
-            col.retain(|_| {
-                let keep = mask[i];
-                i += 1;
-                keep
-            });
-        }
-        self.len = mask.iter().filter(|&&k| k).count();
-    }
-
-    /// True when the batch holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-/// Where a cursor's remaining rows come from.
+/// Where a cursor's rows come from.
 #[derive(Debug)]
-enum Rows {
-    /// Pre-materialized rows (ASOF snapshots, in-memory tables).
-    Buffered(Vec<Tuple>),
-    /// Opaque row keys the provider decodes one per pull (object
-    /// handles / TIDs packed into `u64`s, or plain indices).
+pub enum ScanSource {
+    /// Opaque row keys the provider must read (object handles / TIDs /
+    /// cold-row keys packed into `u64`s, or plain indices).
     Keys(Vec<u64>),
-    /// An epoch version's rows shared by reference (MVCC snapshot
-    /// scans): pulls clone one tuple at a time and never re-enter the
-    /// provider's storage, so concurrent snapshot readers share the
+    /// Rows the cursor already holds — an ASOF state or an MVCC epoch
+    /// version. Pulls clone tuples out and never re-enter the
+    /// provider's storage, so concurrent snapshot readers share one
     /// version without synchronizing.
-    Shared(SharedRows),
+    Rows(SharedRows),
 }
 
 /// A scan in progress: passive state handed back to the provider on
-/// every [`TableProvider::next_row`] call. Holding the cursor does not
-/// borrow the provider, so the evaluator can interleave pulls from
+/// every [`TableProvider::next_batch`] call. Holding the cursor does
+/// not borrow the provider, so the evaluator can interleave pulls from
 /// several cursors and run predicates between them.
 #[derive(Debug)]
 pub struct ObjectCursor {
-    pub table: String,
-    pub asof: Option<Date>,
-    /// The projection the scan was opened with (providers that decode
-    /// per pull re-apply it on every row).
-    pub projection: Option<Referenced>,
+    /// The request the scan was opened with; providers that read per
+    /// pull re-apply its projection and equality conjuncts.
+    pub req: ScanRequest,
     /// Human-readable access path ("full scan", "index f on …").
     pub access_path: String,
     /// The plan node this cursor feeds (EXPLAIN ANALYZE attribution);
     /// set by the evaluator after opening.
     pub plan_node: Option<usize>,
-    /// The commit epoch this cursor reads at, when it was opened from a
-    /// pinned MVCC snapshot.
-    pub snapshot_epoch: Option<u64>,
-    /// The equality conjuncts the scan was opened with (columnar
-    /// providers re-check a block's dictionary against them per batch:
-    /// a literal missing from the dictionary rules out every row).
-    pub conjuncts: Vec<(aim2_model::Path, aim2_model::Atom)>,
-    rows: Rows,
+    source: ScanSource,
     pos: usize,
     opened: Instant,
 }
 
 impl ObjectCursor {
-    /// A cursor over pre-materialized rows.
-    pub fn buffered(req: &ScanRequest, access_path: &str, rows: Vec<Tuple>) -> ObjectCursor {
+    /// A cursor at the start of `source`, opened for `req`.
+    pub fn new(req: &ScanRequest, access_path: &str, source: ScanSource) -> ObjectCursor {
         ObjectCursor {
-            table: req.table.clone(),
-            asof: req.asof,
-            projection: req.projection.clone(),
+            req: req.clone(),
             access_path: access_path.to_string(),
             plan_node: None,
-            snapshot_epoch: None,
-            conjuncts: req.conjuncts.clone(),
-            rows: Rows::Buffered(rows),
-            pos: 0,
-            opened: Instant::now(),
-        }
-    }
-
-    /// A cursor over opaque row keys, decoded one per pull.
-    pub fn keyed(req: &ScanRequest, access_path: &str, keys: Vec<u64>) -> ObjectCursor {
-        ObjectCursor {
-            table: req.table.clone(),
-            asof: req.asof,
-            projection: req.projection.clone(),
-            access_path: access_path.to_string(),
-            plan_node: None,
-            snapshot_epoch: None,
-            conjuncts: req.conjuncts.clone(),
-            rows: Rows::Keys(keys),
-            pos: 0,
-            opened: Instant::now(),
-        }
-    }
-
-    /// A cursor over an epoch version's shared rows (MVCC snapshot
-    /// scans): the version is borrowed by `Arc`, pulls never re-enter
-    /// storage, and the epoch is threaded through for EXPLAIN and
-    /// assertion sites.
-    pub fn shared(
-        req: &ScanRequest,
-        access_path: &str,
-        epoch: u64,
-        rows: SharedRows,
-    ) -> ObjectCursor {
-        ObjectCursor {
-            table: req.table.clone(),
-            asof: req.asof,
-            projection: req.projection.clone(),
-            access_path: access_path.to_string(),
-            plan_node: None,
-            snapshot_epoch: Some(epoch),
-            conjuncts: req.conjuncts.clone(),
-            rows: Rows::Shared(rows),
+            source,
             pos: 0,
             opened: Instant::now(),
         }
@@ -233,10 +128,9 @@ impl ObjectCursor {
 
     /// Total rows/keys the cursor was opened over.
     pub fn len(&self) -> usize {
-        match &self.rows {
-            Rows::Buffered(v) => v.len(),
-            Rows::Keys(v) => v.len(),
-            Rows::Shared(v) => v.len(),
+        match &self.source {
+            ScanSource::Keys(v) => v.len(),
+            ScanSource::Rows(v) => v.len(),
         }
     }
 
@@ -245,7 +139,7 @@ impl ObjectCursor {
         self.len() == 0
     }
 
-    /// Rows pulled so far.
+    /// Rows/keys consumed so far.
     pub fn pulled(&self) -> usize {
         self.pos
     }
@@ -255,88 +149,34 @@ impl ObjectCursor {
         self.pos >= self.len()
     }
 
-    /// Next pre-materialized row (providers using `buffered`).
-    pub fn next_buffered(&mut self) -> Option<Tuple> {
-        let Rows::Buffered(v) = &mut self.rows else {
-            return None;
-        };
-        let t = v.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
+    /// Advance by up to `max_rows` (at least one) and return that
+    /// run's rows; `None` once exhausted. Held rows are served by the
+    /// cursor itself; a run of keys goes to `read` together with the
+    /// scan's request. `read` may return fewer rows than keys — a
+    /// provider can rule rows out without materializing them — so an
+    /// empty batch is not end-of-scan.
+    pub fn pull(
+        &mut self,
+        max_rows: usize,
+        read: impl FnOnce(&ScanRequest, &[u64]) -> Result<Vec<Tuple>>,
+    ) -> Result<Option<Vec<Tuple>>> {
+        let run = self.pos..self.len().min(self.pos + max_rows.max(1));
+        if run.is_empty() {
+            return Ok(None);
         }
-        t
-    }
-
-    /// Next opaque key (providers using `keyed`).
-    pub fn next_key(&mut self) -> Option<u64> {
-        let Rows::Keys(v) = &self.rows else {
-            return None;
-        };
-        let k = v.get(self.pos).copied();
-        if k.is_some() {
-            self.pos += 1;
+        self.pos = run.end;
+        match &self.source {
+            ScanSource::Keys(keys) => read(&self.req, &keys[run]).map(Some),
+            ScanSource::Rows(rows) => Ok(Some(
+                rows[run].iter().map(|(_, t)| Tuple::clone(t)).collect(),
+            )),
         }
-        k
-    }
-
-    /// The next opaque key without consuming it (batch dispatch peeks
-    /// to decide whether the cursor sits on a cold block or a hot row).
-    pub fn peek_key(&self) -> Option<u64> {
-        let Rows::Keys(v) = &self.rows else {
-            return None;
-        };
-        v.get(self.pos).copied()
-    }
-
-    /// Consume up to `max` consecutive keys for which `take` holds
-    /// (batch pulls drain a run of same-tier keys in one call).
-    pub fn take_keys(&mut self, max: usize, take: impl Fn(u64) -> bool) -> Vec<u64> {
-        let Rows::Keys(v) = &self.rows else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        while out.len() < max {
-            match v.get(self.pos) {
-                Some(&k) if take(k) => {
-                    out.push(k);
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        out
-    }
-
-    /// Next row from a shared epoch version (providers using `shared`).
-    pub fn next_shared(&mut self) -> Option<Tuple> {
-        let Rows::Shared(v) = &self.rows else {
-            return None;
-        };
-        let t = v.get(self.pos).map(|(_, t)| Tuple::clone(t));
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    /// True when pulls are served from cursor-local state (buffered or
-    /// shared rows) and never need to re-enter the provider's storage.
-    pub fn is_local(&self) -> bool {
-        !matches!(self.rows, Rows::Keys(_))
     }
 
     /// Nanoseconds since the cursor was opened (cursor lifetime at
     /// close time).
     pub fn age_ns(&self) -> u64 {
         self.opened.elapsed().as_nanos() as u64
-    }
-
-    /// Projection predicate for one subtable path (true = decode it).
-    pub fn keep(&self, p: &aim2_model::Path) -> bool {
-        match &self.projection {
-            Some(r) => r.keep(p),
-            None => true,
-        }
     }
 }
 
@@ -349,27 +189,18 @@ pub trait TableProvider {
     /// request's pushdown contract as the backing storage supports.
     fn open_scan(&mut self, req: &ScanRequest) -> Result<ObjectCursor>;
 
-    /// Pull the next row; `None` when exhausted.
-    fn next_row(&mut self, cur: &mut ObjectCursor) -> Result<Option<Tuple>>;
+    /// Pull the next batch of up to `max_rows` row-major tuples;
+    /// `None` when exhausted. A batch may hold fewer rows than asked
+    /// for — even none, when the provider ruled a whole run out — so
+    /// only `None` ends the scan. Implementations delegate to
+    /// [`ObjectCursor::pull`] and supply the keyed read.
+    fn next_batch(&mut self, cur: &mut ObjectCursor, max_rows: usize)
+        -> Result<Option<Vec<Tuple>>>;
 
     /// Close a cursor. Providers with stats count an early exit when
     /// rows were pulled but the cursor is not exhausted.
     fn close_scan(&mut self, cur: ObjectCursor) {
         let _ = cur;
-    }
-
-    /// Pull the next batch of up to `max_rows` rows in column-major
-    /// form; `None` when exhausted. `max_rows` is a hint: a columnar
-    /// provider returns whatever remains of the current cold block,
-    /// which may be fewer. The default adapter transposes
-    /// [`TableProvider::next_row`] pulls, so every provider is
-    /// batch-capable from day one.
-    fn next_batch(
-        &mut self,
-        cur: &mut ObjectCursor,
-        max_rows: usize,
-    ) -> Result<Option<ColumnBatch>> {
-        row_batch(self, cur, max_rows)
     }
 
     /// Current `(objects_decoded, atoms_decoded)` totals, for EXPLAIN
@@ -399,40 +230,16 @@ pub trait TableProvider {
         let kind = self.table_schema(name)?.kind;
         let mut cur = self.open_scan(&ScanRequest::full(name, asof))?;
         let mut tuples = Vec::with_capacity(cur.len());
-        while let Some(t) = self.next_row(&mut cur)? {
-            tuples.push(t);
+        while let Some(rows) = self.next_batch(&mut cur, BATCH_ROWS)? {
+            tuples.extend(rows);
         }
         self.close_scan(cur);
         Ok(TableValue { kind, tuples })
     }
 }
 
-/// The row-at-a-time batch adapter: transpose up to `max_rows`
-/// [`TableProvider::next_row`] pulls into one [`ColumnBatch`]. Free
-/// and generic so providers overriding
-/// [`TableProvider::next_batch`] can still fall back to it for cursor
-/// shapes they don't accelerate.
-pub fn row_batch<P: TableProvider + ?Sized>(
-    p: &mut P,
-    cur: &mut ObjectCursor,
-    max_rows: usize,
-) -> Result<Option<ColumnBatch>> {
-    let mut rows = Vec::new();
-    while rows.len() < max_rows.max(1) {
-        match p.next_row(cur)? {
-            Some(t) => rows.push(t),
-            None => break,
-        }
-    }
-    if rows.is_empty() {
-        return Ok(None);
-    }
-    Ok(Some(ColumnBatch::from_rows(rows)))
-}
-
-/// In-memory provider backed by `TableValue`s. Rows are served borrowed
-/// per pull (one tuple clone per `next_row`), never by cloning whole
-/// tables.
+/// In-memory provider backed by `TableValue`s. Pulls clone the tuples
+/// of one run, never whole tables.
 #[derive(Default)]
 pub struct MemProvider {
     tables: HashMap<String, (TableSchema, TableValue)>,
@@ -504,36 +311,22 @@ impl TableProvider for MemProvider {
 
     fn open_scan(&mut self, req: &ScanRequest) -> Result<ObjectCursor> {
         let n = self.rows(&req.table, req.asof)?.len();
-        Ok(ObjectCursor::keyed(
-            req,
-            "full scan",
-            (0..n as u64).collect(),
-        ))
-    }
-
-    fn next_row(&mut self, cur: &mut ObjectCursor) -> Result<Option<Tuple>> {
-        let Some(i) = cur.next_key() else {
-            return Ok(None);
-        };
-        let rows = self.rows(&cur.table, cur.asof)?;
-        Ok(rows.get(i as usize).cloned())
+        let keys = (0..n as u64).collect();
+        Ok(ObjectCursor::new(req, "full scan", ScanSource::Keys(keys)))
     }
 
     fn next_batch(
         &mut self,
         cur: &mut ObjectCursor,
         max_rows: usize,
-    ) -> Result<Option<ColumnBatch>> {
-        let keys = cur.take_keys(max_rows.max(1), |_| true);
-        if keys.is_empty() {
-            return Ok(None);
-        }
-        let rows = self.rows(&cur.table, cur.asof)?;
-        let batch: Vec<Tuple> = keys
-            .iter()
-            .filter_map(|&i| rows.get(i as usize).cloned())
-            .collect();
-        Ok(Some(ColumnBatch::from_rows(batch)))
+    ) -> Result<Option<Vec<Tuple>>> {
+        cur.pull(max_rows, |req, keys| {
+            let rows = self.rows(&req.table, req.asof)?;
+            Ok(keys
+                .iter()
+                .filter_map(|&i| rows.get(i as usize).cloned())
+                .collect())
+        })
     }
 }
 
@@ -566,73 +359,5 @@ mod tests {
             .scan_all("DEPARTMENTS", Some(Date::parse_iso("1983-01-01").unwrap()))
             .unwrap();
         assert!(before.is_empty());
-    }
-
-    #[test]
-    fn batch_pulls_match_row_pulls() {
-        let mut p = MemProvider::with_paper_fixtures();
-        let rows = p.scan_all("MEMBERS-1NF", None).unwrap().tuples;
-        // Explicit override path.
-        let mut cur = p
-            .open_scan(&ScanRequest::full("MEMBERS-1NF", None))
-            .unwrap();
-        let mut batched = Vec::new();
-        while let Some(b) = p.next_batch(&mut cur, 4).unwrap() {
-            assert!(b.len <= 4);
-            assert_eq!(b.columns.iter().map(Vec::len).max(), Some(b.len));
-            batched.extend(b.into_rows());
-        }
-        assert!(cur.exhausted());
-        p.close_scan(cur);
-        assert_eq!(batched, rows);
-        // Generic row-at-a-time adapter gives the same transposition.
-        let mut cur = p
-            .open_scan(&ScanRequest::full("MEMBERS-1NF", None))
-            .unwrap();
-        let mut adapted = Vec::new();
-        while let Some(b) = row_batch(&mut p, &mut cur, 4).unwrap() {
-            adapted.extend(b.into_rows());
-        }
-        assert_eq!(adapted, rows);
-    }
-
-    #[test]
-    fn column_batch_retain_filters_all_columns() {
-        let rows = vec![
-            Tuple::new(vec![
-                aim2_model::value::build::a(1),
-                aim2_model::value::build::a("x"),
-            ]),
-            Tuple::new(vec![
-                aim2_model::value::build::a(2),
-                aim2_model::value::build::a("y"),
-            ]),
-            Tuple::new(vec![
-                aim2_model::value::build::a(3),
-                aim2_model::value::build::a("z"),
-            ]),
-        ];
-        let mut b = ColumnBatch::from_rows(rows.clone());
-        b.retain(&[true, false, true]);
-        assert_eq!(b.len, 2);
-        let kept = b.into_rows();
-        assert_eq!(kept, vec![rows[0].clone(), rows[2].clone()]);
-        // Empty batch round-trips too.
-        let empty = ColumnBatch::from_rows(Vec::new());
-        assert!(empty.is_empty());
-        assert!(empty.into_rows().is_empty());
-    }
-
-    #[test]
-    fn cursor_pulls_one_row_at_a_time() {
-        let mut p = MemProvider::with_paper_fixtures();
-        let mut cur = p.open_scan(&ScanRequest::full("REPORTS", None)).unwrap();
-        assert_eq!(cur.len(), 3);
-        assert!(p.next_row(&mut cur).unwrap().is_some());
-        assert_eq!(cur.pulled(), 1);
-        assert!(!cur.exhausted());
-        while p.next_row(&mut cur).unwrap().is_some() {}
-        assert!(cur.exhausted());
-        p.close_scan(cur);
     }
 }

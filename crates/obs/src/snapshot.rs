@@ -329,11 +329,7 @@ mod tests {
             if let Some(rest) = line.strip_prefix("# TYPE ") {
                 current = rest.split(' ').next().unwrap().to_string();
             } else if !line.starts_with('#') {
-                let metric = line
-                    .split(['{', ' '])
-                    .next()
-                    .unwrap()
-                    .to_string();
+                let metric = line.split(['{', ' ']).next().unwrap().to_string();
                 let base = metric
                     .strip_suffix("_sum")
                     .or_else(|| metric.strip_suffix("_count"))

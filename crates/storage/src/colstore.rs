@@ -109,16 +109,13 @@ impl DecodedBlock {
                 self.rows
             )));
         }
-        let fields = self
-            .columns
-            .iter()
-            .map(|c| {
-                c.atom(r)
-                    .cloned()
-                    .map(Value::Atom)
-                    .ok_or_else(|| StorageError::Corrupt("cold block code out of range".into()))
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let mut fields = Vec::with_capacity(self.columns.len());
+        for c in &self.columns {
+            let atom = c
+                .atom(r)
+                .ok_or_else(|| StorageError::Corrupt("cold block code out of range".into()))?;
+            fields.push(Value::Atom(atom.clone()));
+        }
         Ok(Tuple::new(fields))
     }
 }

@@ -256,7 +256,12 @@ impl Segment {
             if exclude(pid) {
                 continue;
             }
-            let f = self.page_free(pid)?;
+            // A page that fails its checksum offers no space: placement
+            // routes around rot instead of failing every insert on it.
+            let f = match self.page_free(pid) {
+                Err(StorageError::CorruptPage { .. }) => continue,
+                f => f?,
+            };
             if f > need {
                 self.alloc_cursor = i;
                 return Ok(pid);
@@ -368,8 +373,11 @@ impl Segment {
     pub fn insert(&mut self, data: &[u8], near: Option<PageId>) -> Result<Tid> {
         if data.len() <= self.max_single() {
             if let Some(pid) = near {
-                if let Some(slot) = self.rec_insert_in(pid, REC_INLINE, data)? {
-                    return Ok(Tid::new(pid, slot));
+                match self.rec_insert_in(pid, REC_INLINE, data) {
+                    Ok(Some(slot)) => return Ok(Tid::new(pid, slot)),
+                    // Full, or rotten: place the record elsewhere.
+                    Ok(None) | Err(StorageError::CorruptPage { .. }) => {}
+                    Err(e) => return Err(e),
                 }
             }
             let pid = self.find_space(data.len(), |_| false)?;

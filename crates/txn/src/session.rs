@@ -45,11 +45,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use aim2::{Database, ExecResult};
-use aim2_exec::{Evaluator, ObjectCursor, ScanRequest, TableProvider};
+use aim2_exec::{Evaluator, ObjectCursor, ScanRequest, ScanSource, TableProvider};
 use aim2_lang::ast::{self, NamedValue, SelectItem, Source, Stmt};
 use aim2_model::{Atom, Date, TableSchema, TableValue, Tuple};
 use aim2_storage::object::{ElemLoc, ObjectHandle};
@@ -903,6 +903,17 @@ impl Session {
         }
     }
 
+    /// The database under `table`'s S lock, for one current-epoch read.
+    /// The lock is reentrant within the transaction, and the mutex is
+    /// held only for the read itself — rows stream without holding it
+    /// across the evaluator's per-row work.
+    fn locked_db(&mut self, table: &str) -> aim2_exec::Result<MutexGuard<'_, Database>> {
+        let id = self.ensure_txn();
+        self.acquire(id, &LockKey::table(table), LockMode::Shared)
+            .map_err(exec_err)?;
+        Ok(self.shared.db.lock().expect("database mutex poisoned"))
+    }
+
     fn with_db<R>(&self, f: impl FnOnce(&mut Database) -> aim2::Result<R>) -> Result<R> {
         let mut db = self.shared.db.lock().expect("database mutex poisoned");
         f(&mut db).map_err(TxnError::Db)
@@ -922,9 +933,10 @@ impl Drop for Session {
 /// [`aim2_exec::Evaluator`] plans run with full transactional
 /// isolation. Three read classes route *around* the lock manager:
 /// read-only snapshot transactions resolve every call against their
-/// pinned epoch version (zero locks, and per-row pulls never touch the
-/// database mutex either), and historical `ASOF` scans — in any
-/// transaction — read immutable version-chain states.
+/// pinned epoch version (zero locks, and pulls never touch the database
+/// mutex either — the cursor holds the version's rows), and historical
+/// `ASOF` scans — in any transaction — read immutable version-chain
+/// states.
 impl TableProvider for Session {
     fn table_schema(&mut self, name: &str) -> aim2_exec::Result<TableSchema> {
         if let Some(epoch) = self.ro_epoch() {
@@ -933,11 +945,7 @@ impl TableProvider for Session {
                 None => Err(aim2_exec::ExecError::NoSuchTable(name.to_string())),
             };
         }
-        let id = self.ensure_txn();
-        self.acquire(id, &LockKey::table(name), LockMode::Shared)
-            .map_err(exec_err)?;
-        let mut db = self.shared.db.lock().expect("database mutex poisoned");
-        TableProvider::table_schema(&mut *db, name)
+        TableProvider::table_schema(&mut *self.locked_db(name)?, name)
     }
 
     fn open_scan(&mut self, req: &ScanRequest) -> aim2_exec::Result<ObjectCursor> {
@@ -953,7 +961,11 @@ impl TableProvider for Session {
             };
             self.shared.stats.inc_snapshot_read();
             let path = format!("snapshot scan @ epoch {epoch}");
-            return Ok(ObjectCursor::shared(req, &path, epoch, v.rows.clone()));
+            return Ok(ObjectCursor::new(
+                req,
+                &path,
+                ScanSource::Rows(v.rows.clone()),
+            ));
         }
         if let Some(d) = req.asof {
             // ASOF inside a 2PL transaction: a strictly-past date names
@@ -964,52 +976,21 @@ impl TableProvider for Session {
                 return TableProvider::open_scan(&mut *db, req);
             }
         }
-        let id = self.ensure_txn();
-        self.acquire(id, &LockKey::table(&req.table), LockMode::Shared)
-            .map_err(exec_err)?;
-        let mut db = self.shared.db.lock().expect("database mutex poisoned");
-        TableProvider::open_scan(&mut *db, req)
-    }
-
-    fn next_row(&mut self, cur: &mut ObjectCursor) -> aim2_exec::Result<Option<Tuple>> {
-        // Snapshot and ASOF cursors carry their rows: pulls are
-        // session-local — no lock, no database mutex, which is what
-        // lets snapshot readers scale past the single writer pipeline.
-        if cur.is_local() {
-            if cur.snapshot_epoch.is_some() {
-                return Ok(cur.next_shared());
-            }
-            return Ok(cur.next_buffered());
-        }
-        // Each pull re-takes the S lock (reentrant within the txn) and
-        // the db mutex — rows stream without holding the mutex across
-        // the evaluator's per-row work.
-        let id = self.ensure_txn();
-        self.acquire(id, &LockKey::table(&cur.table), LockMode::Shared)
-            .map_err(exec_err)?;
-        let mut db = self.shared.db.lock().expect("database mutex poisoned");
-        TableProvider::next_row(&mut *db, cur)
+        TableProvider::open_scan(&mut *self.locked_db(&req.table)?, req)
     }
 
     fn next_batch(
         &mut self,
         cur: &mut ObjectCursor,
         max_rows: usize,
-    ) -> aim2_exec::Result<Option<aim2_exec::ColumnBatch>> {
-        // Snapshot and ASOF cursors already hold their rows: batch them
-        // session-locally, same as `next_row` but amortized.
-        if cur.is_local() {
-            return aim2_exec::row_batch(self, cur, max_rows);
-        }
-        // Keyed cursors delegate to the database's columnar batch path
-        // (cold blocks decode once per batch); the lock and mutex
-        // discipline matches `next_row` — reentrant S lock, mutex held
-        // only for the pull itself.
-        let id = self.ensure_txn();
-        self.acquire(id, &LockKey::table(&cur.table), LockMode::Shared)
-            .map_err(exec_err)?;
-        let mut db = self.shared.db.lock().expect("database mutex poisoned");
-        TableProvider::next_batch(&mut *db, cur, max_rows)
+    ) -> aim2_exec::Result<Option<Vec<Tuple>>> {
+        // Only a keyed read re-enters storage: snapshot and ASOF cursors
+        // hold their rows, so their pulls take no lock and no database
+        // mutex — which is what lets snapshot readers scale past the
+        // single writer pipeline.
+        cur.pull(max_rows, |req, keys| {
+            Ok(self.locked_db(&req.table)?.read_keys(req, keys)?)
+        })
     }
 
     fn close_scan(&mut self, cur: ObjectCursor) {
